@@ -8,7 +8,8 @@
 //! incoming edges (e.g. the diamond's `w`) is reachable from several
 //! containers but is one object, exactly as in Fig. 2(b).
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -229,7 +230,7 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
         }
     }
     // Structural walk: sharing, keys, exhaustion.
-    let mut seen: Vec<(NodeId, Tuple, *const NodeInstance)> = Vec::new();
+    let mut seen: HashMap<(NodeId, Tuple), *const NodeInstance> = HashMap::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
     while let Some(inst) = stack.pop() {
         let meta = decomp.node(inst.node());
@@ -248,19 +249,18 @@ pub fn verify_instance(decomp: &Decomposition, root: &NodeRef) -> Result<BTreeSe
             ));
         }
         let ptr = Arc::as_ptr(&inst);
-        match seen
-            .iter()
-            .find(|(n, k, _)| *n == inst.node() && k == inst.key())
-        {
-            Some((_, _, prev)) if *prev != ptr => {
+        match seen.entry((inst.node(), inst.key().clone())) {
+            Entry::Occupied(prev) if *prev.get() != ptr => {
                 return Err(format!(
                     "instance {:?} of {} is duplicated instead of shared",
                     inst.key(),
                     meta.name
                 ));
             }
-            Some(_) => continue, // already visited this exact object
-            None => seen.push((inst.node(), inst.key().clone(), ptr)),
+            Entry::Occupied(_) => continue, // already visited this exact object
+            Entry::Vacant(slot) => {
+                slot.insert(ptr);
+            }
         }
         for &e in &meta.outgoing {
             inst.container(decomp, e)

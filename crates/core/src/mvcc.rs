@@ -35,7 +35,7 @@
 //! entry (or when the relation drops); it is never reclaimed behind a
 //! lock-free reader's back.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -303,14 +303,12 @@ pub(crate) fn verify_versions(
     let floor = registry.min_active(clock);
     let now = clock.now();
     let guard = relc_containers::epoch::pin();
-    let mut seen: Vec<*const ()> = Vec::new();
+    let mut seen: HashSet<*const ()> = HashSet::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
     while let Some(inst) = stack.pop() {
-        let ptr = Arc::as_ptr(&inst).cast::<()>();
-        if seen.contains(&ptr) {
+        if !seen.insert(Arc::as_ptr(&inst).cast::<()>()) {
             continue;
         }
-        seen.push(ptr);
         let meta = decomp.node(inst.node());
         for &e in &meta.outgoing {
             let em = decomp.edge(e);
@@ -387,14 +385,12 @@ pub(crate) fn verify_versions(
 pub(crate) fn version_footprint(decomp: &Decomposition, root: &NodeRef) -> usize {
     let guard = relc_containers::epoch::pin();
     let mut total = 0usize;
-    let mut seen: Vec<*const ()> = Vec::new();
+    let mut seen: HashSet<*const ()> = HashSet::new();
     let mut stack: Vec<NodeRef> = vec![Arc::clone(root)];
     while let Some(inst) = stack.pop() {
-        let ptr = Arc::as_ptr(&inst).cast::<()>();
-        if seen.contains(&ptr) {
+        if !seen.insert(Arc::as_ptr(&inst).cast::<()>()) {
             continue;
         }
-        seen.push(ptr);
         let meta = decomp.node(inst.node());
         for &e in &meta.outgoing {
             inst.container(decomp, e)

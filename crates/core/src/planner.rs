@@ -25,8 +25,8 @@
 //!   Otherwise the general [`UpdatePlan::General`] unlink + re-insert
 //!   plan is produced. A mode-promotion pass upgrades any step sharing a
 //!   physical lock host with an exclusive step, so a plan never requests
-//!   one lock shared first and exclusive later (which would restart on
-//!   the upgrade every time).
+//!   one lock shared first and exclusive later (an upgrade, which
+//!   restarts whenever another reader shares the lock).
 //! * The §5.2 static **sort-elision analysis**: a lock set produced by
 //!   traversing sorted containers is already in lock order, so the runtime
 //!   sort can be skipped (`presorted`).
@@ -186,8 +186,8 @@ pub struct InPlaceStep {
     /// Shared for pure traversal (the container's read mode), exclusive
     /// for touched edges — promoted to exclusive for *every* step whose
     /// placement host also hosts an exclusive step, so one physical lock
-    /// is never requested shared first and exclusive later (which would
-    /// force an upgrade restart on every execution).
+    /// is never requested shared first and exclusive later (an upgrade,
+    /// which restarts whenever another reader shares the lock).
     pub mode: LockMode,
     /// Whether this edge's container entry is rewritten.
     pub touched: bool,
@@ -910,9 +910,9 @@ impl Planner {
     }
 
     /// One physical lock requested shared by one step and exclusive by a
-    /// later one would force an upgrade restart on *every* execution;
-    /// promote shared steps whose lock sites collide with an exclusive
-    /// step's sites, to a fixpoint.
+    /// later one would need an upgrade, which restarts whenever another
+    /// reader shares the lock; promote shared steps whose lock sites
+    /// collide with an exclusive step's sites, to a fixpoint.
     fn promote_colliding_modes(&self, steps: &mut [InPlaceStep]) {
         let mut exclusive_nodes: std::collections::BTreeSet<crate::decomp::NodeId> = steps
             .iter()

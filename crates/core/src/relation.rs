@@ -731,7 +731,8 @@ impl ConcurrentRelation {
     /// scope, released only when the closure returns (§4.2's
     /// serializability argument applies to the whole sequence). When the
     /// lock engine demands a restart — out-of-order contention, a
-    /// shared→exclusive upgrade, a failed speculation — the closure's
+    /// shared→exclusive upgrade of a lock another reader shares, a failed
+    /// speculation — the closure's
     /// effects are rolled back and the **whole closure re-runs** after
     /// randomized backoff, which is what makes read-modify-write
     /// sequences atomic.
@@ -2214,17 +2215,42 @@ mod tests {
         let p = LockPlacement::coarse(&d).unwrap();
         let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
         let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
+        let src1 = d.schema().tuple(&[("src", Value::from(1))]).unwrap();
         let runs = std::cell::Cell::new(0u32);
-        rel.transaction(|tx| {
-            runs.set(runs.get() + 1);
-            tx.query(&d.schema().tuple(&[("src", Value::from(1))]).unwrap(), dw)?;
-            // First run: the insert upgrades the query's shared locks and
-            // demands a restart — which this closure wrongly swallows.
-            let _ = tx.insert(&edge(&d, 1, 2), &weight(&d, 1));
-            Ok(())
-        })
-        .unwrap();
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|sc| {
+            // A concurrent reader shares the root lock until the closure's
+            // second run starts, so the first run's upgrade cannot be
+            // granted in place.
+            sc.spawn(|| {
+                let parked = std::cell::Cell::new(false);
+                rel.transaction(|tx| {
+                    tx.query(&src1, dw)?;
+                    if !parked.replace(true) {
+                        held.wait();
+                        release.wait();
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            });
+            held.wait();
+            rel.transaction(|tx| {
+                runs.set(runs.get() + 1);
+                if runs.get() == 2 {
+                    release.wait();
+                }
+                tx.query(&src1, dw)?;
+                // First run: the insert upgrades the query's shared locks
+                // and, the reader sharing them, demands a restart — which
+                // this closure wrongly swallows.
+                let _ = tx.insert(&edge(&d, 1, 2), &weight(&d, 1));
+                Ok(())
+            })
+            .unwrap();
+        });
         assert_eq!(runs.get(), 2, "the swallowed restart must force a re-run");
+        assert!(rel.lock_stats().upgrades >= 1, "{}", rel.lock_stats());
         // What committed is the successful second run, not the first.
         assert!(rel.contains(&edge(&d, 1, 2)).unwrap());
         assert_eq!(rel.len(), 1);
@@ -2263,6 +2289,34 @@ mod tests {
             let _ = rel.remove(&edge(&d, 1, 2));
             Ok(())
         });
+    }
+
+    #[test]
+    fn verify_walks_tens_of_thousands_of_instances() {
+        // 16,384 rows of a diamond: 128 x- and 128 y-instances, a shared
+        // w-instance per row (reached along both branches) and its weight
+        // instance — over 32k instances for the structural and version
+        // walks, which must deduplicate by hash, not by linear scan.
+        const ROWS: i64 = 16_384;
+        let d = diamond(ContainerKind::HashMap, ContainerKind::HashMap);
+        let p = LockPlacement::fine(&d).unwrap();
+        let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
+        let rows: Vec<_> = (0..ROWS)
+            .map(|i| (edge(&d, i / 128, i % 128), weight(&d, i)))
+            .collect();
+        rel.insert_all(&rows).unwrap();
+        let start = std::time::Instant::now();
+        assert_eq!(rel.verify().unwrap().len(), ROWS as usize);
+        // One version per live entry: 2 × 128 root entries, and one per
+        // row on each of x→w, y→w and w→z.
+        assert_eq!(rel.version_footprint(), 2 * 128 + 3 * ROWS as usize);
+        // Linear-time walks finish in well under a second even unoptimized;
+        // the quadratic ones took tens of seconds here.
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "verify took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

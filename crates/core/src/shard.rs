@@ -250,6 +250,7 @@ impl ShardedRelation {
             agg.contended += s.contended;
             agg.restarts += s.restarts;
             agg.upgrades += s.upgrades;
+            agg.upgrades_in_place += s.upgrades_in_place;
             agg.speculation_failures += s.speculation_failures;
             agg.commits += s.commits;
             agg.user_rollbacks += s.user_rollbacks;

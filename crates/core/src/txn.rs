@@ -13,8 +13,9 @@
 //! accumulate until the closure passed to
 //! [`ConcurrentRelation::transaction`] returns; only then does the engine
 //! release (commit). When any operation inside the closure demands a
-//! restart (out-of-order lock contention, a shared→exclusive upgrade, a
-//! failed speculation), the *whole closure* re-runs from scratch against
+//! restart (out-of-order lock contention, a shared→exclusive upgrade of a
+//! lock another reader shares, a failed speculation), the *whole closure*
+//! re-runs from scratch against
 //! a clean lock state — that is what makes read-modify-write sequences
 //! atomic: the values read before the restart are discarded along with
 //! the locks.
@@ -617,8 +618,9 @@ impl<'t> Transaction<'t> {
     /// Inside a transaction a query's shared locks *persist to commit*
     /// (two-phase discipline) — the observed values stay stable for the
     /// rest of the transaction. A later write to the same edges upgrades
-    /// shared→exclusive, which restarts the closure once and re-runs it
-    /// with exclusive locks acquired up front (the engine's mode hints).
+    /// shared→exclusive: in place when this transaction is the lock's only
+    /// reader; otherwise the closure restarts and re-runs with exclusive
+    /// locks acquired up front (the engine's mode hints).
     ///
     /// # Errors
     ///

@@ -266,12 +266,32 @@ fn forced_mid_transaction_restart_replays_batch() {
     let p = LockPlacement::coarse(&d).unwrap();
     let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
     let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
+    let src1 = d.schema().tuple(&[("src", Value::from(1))]).unwrap();
     let runs = std::cell::Cell::new(0u32);
-    let results = rel
-        .transaction(|tx| {
+    let (held, release) = (Barrier::new(2), Barrier::new(2));
+    let results = std::thread::scope(|sc| {
+        // A concurrent reader shares the root lock until the closure's
+        // second run starts, so the first run's upgrade must restart.
+        sc.spawn(|| {
+            let parked = std::cell::Cell::new(false);
+            rel.transaction(|tx| {
+                tx.query(&src1, dw)?;
+                if !parked.replace(true) {
+                    held.wait();
+                    release.wait();
+                }
+                Ok(())
+            })
+            .unwrap();
+        });
+        held.wait();
+        rel.transaction(|tx| {
             runs.set(runs.get() + 1);
+            if runs.get() == 2 {
+                release.wait();
+            }
             // Shared locks first...
-            let succ = tx.query(&d.schema().tuple(&[("src", Value::from(1))]).unwrap(), dw)?;
+            let succ = tx.query(&src1, dw)?;
             assert!(succ.is_empty() || runs.get() > 1);
             // ...then a batch needing exclusive access: first run restarts.
             tx.insert_all(&[
@@ -289,9 +309,11 @@ fn forced_mid_transaction_restart_replays_batch() {
                 ),
             ])
         })
-        .unwrap();
+        .unwrap()
+    });
     assert_eq!(results, vec![true, true]);
     assert_eq!(runs.get(), 2, "the upgrade must force exactly one re-run");
+    assert!(rel.lock_stats().upgrades >= 1, "{}", rel.lock_stats());
     assert_eq!(rel.len(), 2);
     rel.verify().unwrap();
 }

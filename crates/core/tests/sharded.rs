@@ -328,22 +328,43 @@ fn swallowed_restart_cannot_commit_across_shards() {
     let rel = ShardedRelation::new(d.clone(), p, 4).unwrap();
     let (ka, kb) = keys_in_distinct_shards(&rel);
     let dw = d.schema().column_set(&["dst", "weight"]).unwrap();
+    let ka_key = ka.project(d.schema().column_set(&["src", "dst"]).unwrap());
     let runs = std::cell::Cell::new(0u32);
-    rel.transaction(|tx| {
-        runs.set(runs.get() + 1);
-        // Applied effect on kb's shard before the restart on ka's shard.
-        let _ = tx.insert(&kb, &weight(&rel, 5))?;
-        // Shared locks from the query; the insert upgrades and demands a
-        // restart — which this closure wrongly swallows.
-        tx.query(
-            &ka.project(d.schema().column_set(&["src", "dst"]).unwrap()),
-            dw,
-        )?;
-        let _ = tx.insert(&ka, &weight(&rel, 1));
-        Ok(())
-    })
-    .unwrap();
+    let (held, release) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|sc| {
+        // A concurrent reader shares ka's shard root until the closure's
+        // second run starts, so the first run's upgrade must restart.
+        sc.spawn(|| {
+            let parked = std::cell::Cell::new(false);
+            rel.transaction(|tx| {
+                tx.query(&ka_key, dw)?;
+                if !parked.replace(true) {
+                    held.wait();
+                    release.wait();
+                }
+                Ok(())
+            })
+            .unwrap();
+        });
+        held.wait();
+        rel.transaction(|tx| {
+            runs.set(runs.get() + 1);
+            if runs.get() == 2 {
+                release.wait();
+            }
+            // Applied effect on kb's shard before the restart on ka's shard.
+            let _ = tx.insert(&kb, &weight(&rel, 5))?;
+            // Shared locks from the query; the insert upgrades and, the
+            // reader sharing them, demands a restart — which this closure
+            // wrongly swallows.
+            tx.query(&ka_key, dw)?;
+            let _ = tx.insert(&ka, &weight(&rel, 1));
+            Ok(())
+        })
+        .unwrap();
+    });
     assert!(runs.get() >= 2, "the swallowed restart must force a re-run");
+    assert!(rel.lock_stats().upgrades >= 1, "{}", rel.lock_stats());
     // Both inserts committed exactly once (the successful re-run).
     assert!(rel.contains(&ka).unwrap());
     assert!(rel.contains(&kb).unwrap());
@@ -765,5 +786,50 @@ proptest! {
         let verified = rel.verify().map_err(TestCaseError::fail)?;
         let want: BTreeSet<Tuple> = oracle.snapshot().into_iter().collect();
         prop_assert_eq!(verified, want);
+    }
+}
+
+/// The ledger transfer shape (`split(ConcurrentHashMap, HashMap)`, fine
+/// placement): read two balances, then update both. Uncontended, every
+/// shared→exclusive upgrade is granted in place, so the closure runs
+/// exactly once — no restart per read-then-written key.
+#[test]
+fn read_then_write_transfer_commits_on_first_attempt() {
+    for shards in [1, 8] {
+        let d = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+        let p = LockPlacement::fine(&d).unwrap();
+        let rel = ShardedRelation::new(d.clone(), p, shards).unwrap();
+        let w = d.schema().column_set(&["weight"]).unwrap();
+        let wcol = d.schema().column("weight").unwrap();
+        let (ka, kb) = (edge(&rel, 3, 1), edge(&rel, 3, 2));
+        rel.insert(&ka, &weight(&rel, 100)).unwrap();
+        rel.insert(&kb, &weight(&rel, 50)).unwrap();
+        let before = rel.lock_stats();
+        let runs = std::cell::Cell::new(0u32);
+        rel.transaction(|tx| {
+            runs.set(runs.get() + 1);
+            let bal = |rows: Vec<Tuple>| rows[0].get(wcol).and_then(|v| v.as_int()).unwrap();
+            let ba = bal(tx.query(&ka, w)?);
+            let bb = bal(tx.query(&kb, w)?);
+            tx.update(&ka, &weight(&rel, ba - 30))?;
+            tx.update(&kb, &weight(&rel, bb + 30))?;
+            Ok(())
+        })
+        .unwrap();
+        let after = rel.lock_stats();
+        assert_eq!(runs.get(), 1, "{shards} shards: {after}");
+        assert_eq!(after.restarts, before.restarts, "{shards} shards: {after}");
+        assert_eq!(after.upgrades, before.upgrades, "{shards} shards: {after}");
+        assert_eq!(
+            after.upgrades_in_place - before.upgrades_in_place,
+            2,
+            "{shards} shards: {after}"
+        );
+        let rows = rel.verify().unwrap();
+        let total: i64 = rows
+            .iter()
+            .map(|t| t.get(wcol).and_then(|v| v.as_int()).unwrap())
+            .sum();
+        assert_eq!(total, 150);
     }
 }

@@ -259,23 +259,46 @@ fn fast_path_rollback_after_forced_mid_transaction_restart() {
         let rel = ConcurrentRelation::new(d.clone(), p).unwrap();
         rel.insert(&edge(&d, 1, 1), &weight(&d, 10)).unwrap();
         let runs = std::cell::Cell::new(0u32);
-        rel.transaction(|tx| {
-            runs.set(runs.get() + 1);
-            // Fast-path update: shared locks on the root chains, exclusive
-            // only on the touched hosts.
-            let old = tx.update(&edge(&d, 1, 1), &weight(&d, 77))?;
-            assert!(old.is_some());
-            // The insert's root batch needs those root locks exclusively:
-            // upgrade → restart on the first run, after the update already
-            // wrote. The write-back must undo it before the retry.
-            tx.insert(&edge(&d, 2, 2), &weight(&d, 20))?;
-            Ok(())
-        })
-        .unwrap();
+        let (held, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|sc| {
+            // A concurrent reader shares the root locks (and nothing the
+            // update writes) until the closure's second run starts.
+            sc.spawn(|| {
+                let parked = std::cell::Cell::new(false);
+                rel.transaction(|tx| {
+                    tx.contains(&edge(&d, 2, 2))?;
+                    if !parked.replace(true) {
+                        held.wait();
+                        release.wait();
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            });
+            held.wait();
+            rel.transaction(|tx| {
+                runs.set(runs.get() + 1);
+                if runs.get() == 2 {
+                    release.wait();
+                }
+                // Fast-path update: shared locks on the root chains,
+                // exclusive only on the touched hosts.
+                let old = tx.update(&edge(&d, 1, 1), &weight(&d, 77))?;
+                assert!(old.is_some());
+                // The insert's root batch needs those root locks
+                // exclusively; the reader shares them, so the upgrade
+                // restarts the first run after the update already wrote.
+                // The write-back must undo it before the retry.
+                tx.insert(&edge(&d, 2, 2), &weight(&d, 20))?;
+                Ok(())
+            })
+            .unwrap();
+        });
         assert!(
             runs.get() >= 2,
             "the shared→exclusive upgrade must force one restart"
         );
+        assert!(rel.lock_stats().upgrades >= 1, "{}", rel.lock_stats());
         let wcol = d.schema().column("weight").unwrap();
         let verified = rel.verify().unwrap();
         assert_eq!(verified.len(), 2);

@@ -1,7 +1,8 @@
 //! Randomized exponential backoff for transaction restarts.
 //!
 //! When a transaction must restart (an out-of-order `try_lock` failed, or a
-//! shared→exclusive upgrade was needed), immediately retrying against the
+//! shared→exclusive upgrade could not be granted in place because another
+//! reader shares the lock), immediately retrying against the
 //! same contended locks livelocks. [`Backoff`] spins briefly, then yields,
 //! then sleeps with deterministic-per-thread jitter.
 

@@ -253,8 +253,7 @@ type Slot = Arc<AtomicU64>;
 /// (shards of one sharded relation share one), so a long-lived reader
 /// pins version retirement only for the relation it is actually reading
 /// — an idle reader on relation A must not make relation B's dead
-/// version cells immortal. The [`snapshot_registry`] process-global
-/// instance remains for callers without a relation at hand.
+/// version cells immortal.
 ///
 /// Every registration claims its **own** slot — nested registrations on
 /// one thread (a `relB.query()` inside `relA.read_transaction(..)`
@@ -267,13 +266,6 @@ type Slot = Arc<AtomicU64>;
 pub struct SnapshotRegistry {
     slots: RwLock<Vec<Slot>>,
     free: Mutex<Vec<usize>>,
-}
-
-/// The process-global snapshot registry (for registrations not tied to
-/// any particular relation).
-pub fn snapshot_registry() -> &'static Arc<SnapshotRegistry> {
-    static REGISTRY: OnceLock<Arc<SnapshotRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(SnapshotRegistry::new)
 }
 
 /// RAII registration of one snapshot read; dropping it marks the slot
@@ -415,7 +407,7 @@ mod tests {
     #[test]
     fn registry_bounds_truncation() {
         let clock = commit_clock();
-        let reg = snapshot_registry();
+        let reg = SnapshotRegistry::new();
         let s = CommitStamp::new();
         clock.commit(&s);
         let g = reg.register(clock);
@@ -424,18 +416,16 @@ mod tests {
         let s2 = CommitStamp::new();
         clock.commit(&s2);
         assert!(reg.min_active(clock) <= g.snap());
-        let snap = g.snap();
         drop(g);
-        // Released: the floor may advance again (other tests' readers on
-        // other threads may still hold older snapshots, so only check
-        // against our own).
-        assert!(reg.min_active(clock) >= snap.min(reg.min_active(clock)));
+        // Released: the registry is private to this test, so with no
+        // reader left the floor advances past the later commit.
+        assert!(reg.min_active(clock) >= s2.load());
     }
 
     #[test]
     fn nested_registrations_hold_distinct_slots() {
         let clock = commit_clock();
-        let reg = snapshot_registry();
+        let reg = SnapshotRegistry::new();
         let outer = reg.register(clock);
         // Advance the clock so an inner registration lands on a strictly
         // newer snapshot.
@@ -457,7 +447,7 @@ mod tests {
     #[test]
     fn out_of_order_guard_drop_keeps_live_reader_registered() {
         let clock = commit_clock();
-        let reg = snapshot_registry();
+        let reg = SnapshotRegistry::new();
         let outer = reg.register(clock);
         let s = CommitStamp::new();
         clock.commit(&s);
@@ -517,8 +507,9 @@ mod tests {
     #[test]
     fn slots_are_recycled_across_threads() {
         let clock = commit_clock();
-        let reg = snapshot_registry();
+        let reg = SnapshotRegistry::new();
         for _ in 0..64 {
+            let reg = Arc::clone(&reg);
             std::thread::spawn(move || {
                 let g = reg.register(clock);
                 let _ = g.snap();

@@ -13,10 +13,12 @@
 //!   *try*; on failure the transaction must release everything and restart.
 //!   Since no thread ever blocks while violating the order, the wait-for
 //!   graph cannot contain a cycle: **deadlock freedom by construction**.
-//! * **Upgrade hints**: a shared→exclusive upgrade cannot be granted in
-//!   place (two upgraders would deadlock); the engine records the needed
-//!   mode and fails the transaction, so the retry acquires exclusive access
-//!   up front.
+//! * **Upgrades**: a shared→exclusive upgrade of a lock whose sole reader
+//!   is this transaction is granted in place ([`PhysicalLock::try_upgrade`],
+//!   one compare-exchange that never waits, so it adds no wait-for edge).
+//!   Otherwise the upgrade is never waited for (two upgraders would
+//!   deadlock): the engine records the needed mode as a hint and fails the
+//!   transaction, so the retry acquires exclusive access up front.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,7 +34,9 @@ use crate::stats::{LocalStats, LockStats};
 pub enum RestartReason {
     /// An out-of-order lock was contended; blocking would risk deadlock.
     OutOfOrderContention,
-    /// A held shared lock needed upgrading to exclusive.
+    /// A held shared lock needed upgrading to exclusive and could not be
+    /// upgraded in place: another reader or a waiting writer shares it, or
+    /// its key also pins a replaced instance's lock.
     UpgradeRequired,
     /// A speculative lock guess (§4.5) failed validation.
     SpeculationFailed,
@@ -217,7 +221,16 @@ impl<O: Ord + Clone + fmt::Debug + LockdepClass> TwoPhaseEngine<O> {
                     if held.mode.covers(mode) {
                         return Ok(());
                     }
-                    // Upgrade required: remember and restart.
+                    // Upgrade required. A sole reader upgrades in place
+                    // (shadowed objects were taken under the old mode, so
+                    // keys holding any fall back); otherwise remember the
+                    // mode and restart.
+                    // SAFETY: `held` records that we hold `lock` shared.
+                    if held.shadowed.is_empty() && unsafe { lock.try_upgrade() } {
+                        held.mode = LockMode::Exclusive;
+                        self.local.upgrades_in_place += 1;
+                        return Ok(());
+                    }
                     self.hints.insert(key, LockMode::Exclusive);
                     self.local.upgrades += 1;
                     self.local.restarts += 1;
@@ -442,15 +455,83 @@ mod tests {
         let a = lock();
         let mut e = engine();
         e.acquire(1, &a, LockMode::Shared).unwrap();
+        // A second reader shares `a`: the upgrade cannot be granted in
+        // place and must restart.
+        assert!(a.try_acquire(LockMode::Shared));
         let err = e.acquire(1, &a, LockMode::Exclusive).unwrap_err();
         assert_eq!(err.reason, RestartReason::UpgradeRequired);
+        assert_eq!(e.holds(&1), Some(LockMode::Shared), "shared hold kept");
         e.rollback();
+        unsafe { a.release(LockMode::Shared) };
         // Retry: the hint upgrades the first acquisition to exclusive.
         e.acquire(1, &a, LockMode::Shared).unwrap();
         assert_eq!(e.holds(&1), Some(LockMode::Exclusive));
         e.acquire(1, &a, LockMode::Exclusive).unwrap();
         e.finish();
-        assert_eq!(e.stats().snapshot().upgrades, 1);
+        let snap = e.stats().snapshot();
+        assert_eq!(snap.upgrades, 1);
+        assert_eq!(snap.upgrades_in_place, 0);
+        assert_eq!(snap.restarts, 1);
+    }
+
+    #[test]
+    fn sole_reader_upgrades_in_place() {
+        let (a, b) = (lock(), lock());
+        let mut e = engine();
+        e.acquire(1, &a, LockMode::Shared).unwrap();
+        e.acquire(2, &b, LockMode::Shared).unwrap();
+        // Out of order (key 1 < held key 2), yet never waits: granted.
+        e.acquire(1, &a, LockMode::Exclusive).unwrap();
+        assert_eq!(e.holds(&1), Some(LockMode::Exclusive));
+        assert_eq!(e.held_count(), 2);
+        assert!(!a.try_acquire(LockMode::Shared), "now held exclusively");
+        e.finish();
+        let snap = e.stats().snapshot();
+        assert_eq!(snap.upgrades_in_place, 1);
+        assert_eq!(snap.upgrades, 0);
+        assert_eq!(snap.restarts, 0);
+        assert_eq!(snap.commits, 1);
+        // `finish` releases the exclusive mode it now records.
+        assert!(a.try_acquire(LockMode::Exclusive));
+        unsafe { a.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn try_only_engine_still_upgrades_in_place() {
+        let a = lock();
+        let mut e = engine();
+        e.acquire(1, &a, LockMode::Shared).unwrap();
+        e.set_try_only();
+        e.acquire(1, &a, LockMode::Exclusive).unwrap();
+        assert_eq!(e.holds(&1), Some(LockMode::Exclusive));
+        e.finish();
+        assert_eq!(e.stats().snapshot().upgrades_in_place, 1);
+        assert!(a.try_acquire(LockMode::Exclusive));
+        unsafe { a.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn upgrade_of_a_key_with_shadowed_locks_restarts() {
+        // The key's instance was replaced within the transaction, so the
+        // key also pins the dead object's lock in the old mode: the
+        // upgrade falls back to a hinted restart even with no other reader.
+        let (old, new) = (lock(), lock());
+        let mut e = engine();
+        e.acquire(1, &old, LockMode::Shared).unwrap();
+        e.acquire(1, &new, LockMode::Shared).unwrap();
+        let err = e.acquire(1, &new, LockMode::Exclusive).unwrap_err();
+        assert_eq!(err.reason, RestartReason::UpgradeRequired);
+        e.rollback();
+        let snap = e.stats().snapshot();
+        assert_eq!((snap.upgrades, snap.upgrades_in_place), (1, 0));
+        // Both objects were released in the shared mode they were held in.
+        for l in [&old, &new] {
+            assert!(l.try_acquire(LockMode::Exclusive));
+            unsafe { l.release(LockMode::Exclusive) };
+        }
+        e.acquire(1, &new, LockMode::Shared).unwrap();
+        assert_eq!(e.holds(&1), Some(LockMode::Exclusive), "hinted retry");
+        e.finish();
     }
 
     #[test]
@@ -600,11 +681,14 @@ mod tests {
     fn restart_and_user_rollbacks_are_distinguished() {
         let a = lock();
         let mut e = engine();
-        // Conflict-driven restart: counted in `restarts`, not in
+        // Conflict-driven restart (another reader shares `a`, so the
+        // upgrade restarts): counted in `restarts`, not in
         // `user_rollbacks`.
         e.acquire(1, &a, LockMode::Shared).unwrap();
+        assert!(a.try_acquire(LockMode::Shared));
         let _ = e.acquire(1, &a, LockMode::Exclusive).unwrap_err();
         e.rollback();
+        unsafe { a.release(LockMode::Shared) };
         // Application abort: counted in `user_rollbacks` only.
         e.acquire(1, &a, LockMode::Shared).unwrap();
         e.rollback_user();

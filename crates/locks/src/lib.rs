@@ -11,7 +11,8 @@
 //! * [`TwoPhaseEngine`] — per-thread transaction lock manager enforcing
 //!   two-phase discipline and the global lock order of §5.1, with
 //!   try-and-restart handling for out-of-order needs (speculation §4.5,
-//!   upgrades) — deadlock freedom by construction;
+//!   upgrades a sole reader cannot take in place) — deadlock freedom by
+//!   construction;
 //! * [`Backoff`] — randomized restart backoff;
 //! * [`LockStats`] — counters consumed by the ablation benchmarks.
 //!
@@ -54,8 +55,7 @@ mod stats;
 
 pub use backoff::Backoff;
 pub use clock::{
-    commit_clock, snapshot_registry, CommitClock, CommitStamp, SnapshotGuard, SnapshotRegistry,
-    TENTATIVE_TS,
+    commit_clock, CommitClock, CommitStamp, SnapshotGuard, SnapshotRegistry, TENTATIVE_TS,
 };
 pub use engine::{MustRestart, RestartReason, TwoPhaseEngine};
 pub use group_commit::{GroupCommit, GroupCommitStats};

@@ -138,6 +138,26 @@ impl PhysicalLock {
         }
     }
 
+    /// Attempts to turn the caller's shared hold into an exclusive one in
+    /// place, without blocking. A single compare-exchange from one reader
+    /// (no [`WRITER_PENDING`]) to [`EXCLUSIVE`]: it succeeds only when the
+    /// caller is the lock's *sole* reader. On failure the caller still
+    /// holds its shared lock, unchanged.
+    ///
+    /// Because it never waits, an upgrade adds no wait-for edge: two
+    /// readers that both try to upgrade both fail (each sees the other's
+    /// count) and must release instead of waiting on each other.
+    ///
+    /// # Safety
+    ///
+    /// The caller must currently hold this lock in shared mode; on
+    /// success it holds it exclusively (and must release it as such).
+    pub unsafe fn try_upgrade(&self) -> bool {
+        self.state
+            .compare_exchange(1, EXCLUSIVE, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
     /// Releases the lock previously acquired in `mode`.
     ///
     /// # Safety
@@ -207,6 +227,53 @@ mod tests {
         unsafe { l.release(LockMode::Shared) };
         assert!(!l.try_acquire(LockMode::Exclusive));
         unsafe { l.release(LockMode::Shared) };
+        assert!(l.try_acquire(LockMode::Exclusive));
+        unsafe { l.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn try_upgrade_succeeds_only_for_a_sole_reader() {
+        let l = PhysicalLock::new();
+        // Free or exclusively held: nothing to upgrade.
+        assert!(!unsafe { l.try_upgrade() });
+        assert!(l.try_acquire(LockMode::Exclusive));
+        assert!(!unsafe { l.try_upgrade() });
+        unsafe { l.release(LockMode::Exclusive) };
+        // Sole reader: upgraded in place, and now excludes everyone.
+        assert!(l.try_acquire(LockMode::Shared));
+        assert!(unsafe { l.try_upgrade() });
+        assert!(!l.try_acquire(LockMode::Shared));
+        assert!(!l.try_acquire(LockMode::Exclusive));
+        unsafe { l.release(LockMode::Exclusive) };
+        // Two readers: neither may upgrade; both keep their shared holds.
+        assert!(l.try_acquire(LockMode::Shared));
+        assert!(l.try_acquire(LockMode::Shared));
+        assert!(!unsafe { l.try_upgrade() });
+        unsafe { l.release(LockMode::Shared) };
+        assert!(unsafe { l.try_upgrade() }, "the remaining reader is sole");
+        unsafe { l.release(LockMode::Exclusive) };
+        assert!(l.try_acquire(LockMode::Exclusive), "fully released");
+        unsafe { l.release(LockMode::Exclusive) };
+    }
+
+    #[test]
+    fn try_upgrade_defers_to_a_pending_writer() {
+        let l = Arc::new(PhysicalLock::new());
+        assert!(l.try_acquire(LockMode::Shared));
+        let l2 = l.clone();
+        let writer = std::thread::spawn(move || {
+            l2.acquire(LockMode::Exclusive); // raises WRITER_PENDING
+            unsafe { l2.release(LockMode::Exclusive) };
+        });
+        while l.state.load(Ordering::Relaxed) & WRITER_PENDING == 0 {
+            std::thread::yield_now();
+        }
+        // One reader, but a blocked writer is flagged: the upgrade must
+        // fail rather than jump the queue.
+        assert_eq!(l.state.load(Ordering::Relaxed), 1 | WRITER_PENDING);
+        assert!(!unsafe { l.try_upgrade() });
+        unsafe { l.release(LockMode::Shared) };
+        writer.join().unwrap();
         assert!(l.try_acquire(LockMode::Exclusive));
         unsafe { l.release(LockMode::Exclusive) };
     }

@@ -13,6 +13,7 @@ pub struct LockStats {
     contended: AtomicU64,
     restarts: AtomicU64,
     upgrades: AtomicU64,
+    upgrades_in_place: AtomicU64,
     speculation_failures: AtomicU64,
     commits: AtomicU64,
     user_rollbacks: AtomicU64,
@@ -28,6 +29,7 @@ pub(crate) struct LocalStats {
     pub contended: u64,
     pub restarts: u64,
     pub upgrades: u64,
+    pub upgrades_in_place: u64,
     pub speculation_failures: u64,
     pub commits: u64,
     pub user_rollbacks: u64,
@@ -39,6 +41,7 @@ impl LocalStats {
             && self.contended == 0
             && self.restarts == 0
             && self.upgrades == 0
+            && self.upgrades_in_place == 0
             && self.speculation_failures == 0
             && self.commits == 0
             && self.user_rollbacks == 0
@@ -70,6 +73,10 @@ impl LockStats {
         if local.upgrades > 0 {
             self.upgrades.fetch_add(local.upgrades, Ordering::Relaxed);
         }
+        if local.upgrades_in_place > 0 {
+            self.upgrades_in_place
+                .fetch_add(local.upgrades_in_place, Ordering::Relaxed);
+        }
         if local.speculation_failures > 0 {
             self.speculation_failures
                 .fetch_add(local.speculation_failures, Ordering::Relaxed);
@@ -100,6 +107,7 @@ impl LockStats {
             contended: self.contended.load(Ordering::Relaxed),
             restarts: self.restarts.load(Ordering::Relaxed),
             upgrades: self.upgrades.load(Ordering::Relaxed),
+            upgrades_in_place: self.upgrades_in_place.load(Ordering::Relaxed),
             speculation_failures: self.speculation_failures.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             user_rollbacks: self.user_rollbacks.load(Ordering::Relaxed),
@@ -115,10 +123,17 @@ pub struct LockStatsSnapshot {
     pub acquisitions: u64,
     /// Acquisitions that could not be satisfied immediately.
     pub contended: u64,
-    /// Transaction restarts (out-of-order try-lock failures or upgrades).
+    /// Transaction restarts (out-of-order try-lock failures, upgrades that
+    /// could not be granted in place, failed speculation).
     pub restarts: u64,
-    /// Restarts caused specifically by shared→exclusive upgrades.
+    /// Restarts caused specifically by shared→exclusive upgrades: the
+    /// lock had another reader (or a waiting writer), so the upgrade could
+    /// not be granted in place.
     pub upgrades: u64,
+    /// Shared→exclusive upgrades granted in place (the transaction was the
+    /// lock's sole reader). These cost no restart and are not counted in
+    /// `restarts` or `upgrades`.
+    pub upgrades_in_place: u64,
     /// Failed speculative lock guesses (§4.5).
     pub speculation_failures: u64,
     /// Transactions committed (engine `finish` calls).
@@ -140,11 +155,13 @@ impl fmt::Display for LockStatsSnapshot {
         write!(
             f,
             "acquisitions={} contended={} restarts={} upgrades={} \
-             spec-failures={} commits={} user-rollbacks={} snapshot-reads={}",
+             upgrades-in-place={} spec-failures={} commits={} \
+             user-rollbacks={} snapshot-reads={}",
             self.acquisitions,
             self.contended,
             self.restarts,
             self.upgrades,
+            self.upgrades_in_place,
             self.speculation_failures,
             self.commits,
             self.user_rollbacks,
@@ -165,6 +182,7 @@ mod tests {
             contended: 1,
             restarts: 1,
             upgrades: 1,
+            upgrades_in_place: 4,
             speculation_failures: 1,
             commits: 1,
             user_rollbacks: 2,
@@ -179,12 +197,14 @@ mod tests {
         assert_eq!(snap.contended, 1);
         assert_eq!(snap.restarts, 1);
         assert_eq!(snap.upgrades, 1);
+        assert_eq!(snap.upgrades_in_place, 4);
         assert_eq!(snap.speculation_failures, 1);
         assert_eq!(snap.commits, 1);
         assert_eq!(snap.user_rollbacks, 2);
         assert_eq!(snap.snapshot_reads, 3);
         assert!(snap.to_string().contains("acquisitions=2"));
         assert!(snap.to_string().contains("commits=1"));
+        assert!(snap.to_string().contains("upgrades-in-place=4"));
         assert!(snap.to_string().contains("snapshot-reads=3"));
     }
 }

@@ -349,3 +349,144 @@ fn restart_statistics_are_coherent() {
         );
     }
 }
+
+/// Concurrent upgraders: four threads run read-then-write transfers over
+/// four hot keys, so transactions often share a lock that each then needs
+/// exclusively. A sole reader upgrades in place; shared readers must all
+/// fail their upgrades and restart with hints rather than wait on each
+/// other. Each round is a small recorded history: the total is conserved,
+/// the instance verifies, and the history linearizes.
+#[test]
+fn concurrent_read_then_write_upgraders_make_progress() {
+    use relc::decomp::library::{split, stick};
+    use relc::lincheck::{check_linearizable, HistoryRecorder, OpRecord};
+    use relc::placement::LockPlacement;
+    use relc::ConcurrentRelation;
+    use relc_containers::ContainerKind;
+
+    const THREADS: u64 = 4;
+    const KEYS: i64 = 4;
+    const TRANSFERS: usize = 12;
+    const BALANCE: i64 = 10;
+    let variants = {
+        let sp = split(ContainerKind::ConcurrentHashMap, ContainerKind::HashMap);
+        let st = stick(ContainerKind::HashMap, ContainerKind::TreeMap);
+        vec![
+            (sp.clone(), LockPlacement::fine(&sp).unwrap()),
+            (st.clone(), LockPlacement::coarse(&st).unwrap()),
+        ]
+    };
+    for (d, p) in variants {
+        let name = format!("{} / {}", d.describe(), p.name());
+        let mut in_place = 0;
+        for round in 0..10u64 {
+            let rel = Arc::new(ConcurrentRelation::new(d.clone(), p.clone()).unwrap());
+            let rec = HistoryRecorder::new();
+            let key = |rel: &ConcurrentRelation, k: i64| {
+                rel.schema()
+                    .tuple(&[("src", Value::from(1)), ("dst", Value::from(k))])
+                    .unwrap()
+            };
+            let weight = |rel: &ConcurrentRelation, w: i64| {
+                rel.schema().tuple(&[("weight", Value::from(w))]).unwrap()
+            };
+            for k in 0..KEYS {
+                rec.record(|| {
+                    let (s, t) = (key(&rel, k), weight(&rel, BALANCE));
+                    let result = rel.insert(&s, &t).unwrap();
+                    ((), OpRecord::Insert { s, t, result })
+                });
+            }
+            let (rel2, rec2) = (rel.clone(), rec.clone());
+            with_watchdog(120, format!("{name} round {round}"), move || {
+                let barrier = Arc::new(Barrier::new(THREADS as usize));
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|tid| {
+                        let (rel, rec, barrier) = (rel2.clone(), rec2.clone(), barrier.clone());
+                        std::thread::spawn(move || {
+                            let mut x = (round + 1) * (tid + 5) * 0x9e37_79b9;
+                            let mut next = move || {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                x
+                            };
+                            let w = rel.schema().column_set(&["weight"]).unwrap();
+                            let wcol = rel.schema().column("weight").unwrap();
+                            barrier.wait();
+                            for _ in 0..TRANSFERS {
+                                let a = (next() % KEYS as u64) as i64;
+                                let b = (a + 1 + (next() % (KEYS as u64 - 1)) as i64) % KEYS;
+                                let amount = 1 + (next() % 3) as i64;
+                                let (ka, kb) = (key(&rel, a), key(&rel, b));
+                                rec.record(|| {
+                                    let mut ops = Vec::new();
+                                    rel.transaction(|tx| {
+                                        ops.clear();
+                                        let ra = tx.query(&ka, w)?;
+                                        let rb = tx.query(&kb, w)?;
+                                        let bal = |rows: &[relc_spec::Tuple]| {
+                                            rows[0].get(wcol).and_then(|v| v.as_int()).unwrap()
+                                        };
+                                        let (ba, bb) = (bal(&ra), bal(&rb));
+                                        ops.push(OpRecord::Query {
+                                            s: ka.clone(),
+                                            cols: w,
+                                            result: ra,
+                                        });
+                                        ops.push(OpRecord::Query {
+                                            s: kb.clone(),
+                                            cols: w,
+                                            result: rb,
+                                        });
+                                        let moved = amount.min(ba);
+                                        if moved > 0 {
+                                            for (k, v) in [(&ka, ba - moved), (&kb, bb + moved)] {
+                                                let t = weight(&rel, v);
+                                                let result = tx.update(k, &t)?;
+                                                ops.push(OpRecord::Update {
+                                                    s: k.clone(),
+                                                    t,
+                                                    result,
+                                                });
+                                            }
+                                        }
+                                        Ok(())
+                                    })
+                                    .unwrap();
+                                    ((), OpRecord::Txn { ops })
+                                });
+                            }
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().unwrap();
+                }
+            });
+            let rows = rel.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let wcol = rel.schema().column("weight").unwrap();
+            let total: i64 = rows
+                .iter()
+                .map(|t| t.get(wcol).and_then(|v| v.as_int()).unwrap())
+                .sum();
+            assert_eq!(
+                total,
+                KEYS * BALANCE,
+                "{name} round {round}: total not conserved"
+            );
+            let s = rel.lock_stats();
+            assert!(
+                s.restarts >= s.upgrades + s.speculation_failures,
+                "{name}: {s}"
+            );
+            in_place += s.upgrades_in_place;
+            let history = rec.into_history();
+            assert!(
+                check_linearizable(rel.schema(), &history),
+                "{name} round {round}: non-linearizable history {history:#?}"
+            );
+        }
+        assert!(in_place > 0, "{name}: no upgrade was granted in place");
+    }
+}
